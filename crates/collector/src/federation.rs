@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, VecDeque};
 use whodunit_core::delta::{
     EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta, StreamHeader,
 };
-use whodunit_core::oracle::{FederationEvidence, SubtreeMass};
+use whodunit_core::oracle::{ppm, FederationEvidence, SubtreeMass};
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
     delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
@@ -126,11 +126,6 @@ pub struct FederationConfig {
     /// Steal-schedule perturbation for the ingest executor — sweepable
     /// by the stress harness, inert for correctness.
     pub steal: StealPlan,
-    /// Ship [`SummaryFrame`]s over the links as compact columnar wire
-    /// frames ([`whodunit_core::wire::encode_summary`]) instead of
-    /// in-memory structs. Byte-identical output either way; `false`
-    /// keeps the legacy struct links for differential runs.
-    pub wire_links: bool,
     /// Meter every link transmission in both encodings
     /// (`*_link_json_bytes` vs `*_link_wire_bytes`) for the
     /// before/after compression story. Rendering the legacy JSON on
@@ -154,7 +149,6 @@ impl Default for FederationConfig {
             deadline_ticks: 4096,
             workers: 1,
             steal: StealPlan::CANONICAL,
-            wire_links: true,
             meter_links: false,
             collector: CollectorConfig::default(),
         }
@@ -945,14 +939,40 @@ enum Dest {
     RegionAck { region: usize },
 }
 
+/// What travels over a link.
 #[derive(Clone, Debug)]
 enum FedMsg {
-    Frame(SummaryFrame),
-    /// A frame serialized as a [`whodunit_core::wire`] summary frame —
-    /// what actually travels when [`FederationConfig::wire_links`] is
-    /// on. Decoded (and envelope-verified) at the receiving end.
-    FrameBytes(Vec<u8>),
+    /// A [`SummaryFrame`] encoded as a [`whodunit_core::wire`] summary
+    /// frame at the sender, decoded (and envelope-verified) at the
+    /// receiving end.
+    Frame(Vec<u8>),
     Ack(u64),
+}
+
+/// Encodes `f` for a leaf (`leaf_link`) or regional uplink. With
+/// [`FederationConfig::meter_links`], both encodings are also metered
+/// per transmission so one run yields the before/after link-byte
+/// story; the JSON render is costly, so it never happens unless asked
+/// for.
+fn link_frame(
+    f: &SummaryFrame,
+    leaf_link: bool,
+    cfg: &FederationConfig,
+    stats: &mut FederationStats,
+) -> FedMsg {
+    let bytes = wire::encode_summary(f);
+    if cfg.meter_links {
+        let wire_len = bytes.len() as u64;
+        let json_len = wire::summary_to_json(f).len() as u64;
+        if leaf_link {
+            stats.leaf_link_json_bytes += json_len;
+            stats.leaf_link_wire_bytes += wire_len;
+        } else {
+            stats.regional_link_json_bytes += json_len;
+            stats.regional_link_wire_bytes += wire_len;
+        }
+    }
+    FedMsg::Frame(bytes)
 }
 
 /// The federation harness: owns the tree, the virtual link fabric, the
@@ -1246,33 +1266,6 @@ impl Federation {
     }
 
     fn enqueue_msg(&mut self, link: u32, to: Dest, msg: FedMsg) {
-        // Serialize frames at the sender; the columnar bytes are what
-        // actually travels when `wire_links` is on. With `meter_links`,
-        // both encodings are additionally metered per transmission so
-        // one run yields the before/after link-byte story — the JSON
-        // render is costly, so it never happens unless asked for.
-        let msg = if let FedMsg::Frame(f) = msg {
-            let bytes = (self.cfg.wire_links || self.cfg.meter_links)
-                .then(|| wire::encode_summary(&f));
-            if self.cfg.meter_links {
-                let wire_len = bytes.as_ref().expect("encoded for metering").len() as u64;
-                let json_len = wire::summary_to_json(&f).len() as u64;
-                if (link as usize) < self.leaves.len() {
-                    self.stats.leaf_link_json_bytes += json_len;
-                    self.stats.leaf_link_wire_bytes += wire_len;
-                } else {
-                    self.stats.regional_link_json_bytes += json_len;
-                    self.stats.regional_link_wire_bytes += wire_len;
-                }
-            }
-            if self.cfg.wire_links {
-                FedMsg::FrameBytes(bytes.expect("encoded when wire_links is on"))
-            } else {
-                FedMsg::Frame(f)
-            }
-        } else {
-            msg
-        };
         let v = self.policy.verdict(link, self.now);
         let is_ack = matches!(msg, FedMsg::Ack(_));
         if v.copies == 0 {
@@ -1408,7 +1401,7 @@ impl Federation {
                         region: l.region,
                         slot: l.child_slot,
                     },
-                    FedMsg::Frame(f),
+                    link_frame(&f, true, &cfg, &mut self.stats),
                 ));
             }
         }
@@ -1427,7 +1420,7 @@ impl Federation {
                 outbox.push((
                     (n_leaves + r) as u32,
                     Dest::Root { slot: r },
-                    FedMsg::Frame(f),
+                    link_frame(&f, false, &cfg, &mut self.stats),
                 ));
             }
         }
@@ -1442,21 +1435,21 @@ impl Federation {
                 break;
             }
             let (to, msg) = self.queue.remove(&key).expect("key just observed");
-            // Wire frames decode (with envelope verification) at the
+            // Frames decode (with envelope verification) at the
             // receiving end; damage drops the frame and the sender's
             // RTO retransmit heals the link.
-            let msg = match msg {
-                FedMsg::FrameBytes(b) => match wire::decode_summary(&b) {
-                    Ok((f, _)) => FedMsg::Frame(f),
+            let frame = match &msg {
+                FedMsg::Frame(b) => match wire::decode_summary(b) {
+                    Ok((f, _)) => Some(f),
                     Err(_) => {
                         self.stats.wire_decode_errors += 1;
                         continue;
                     }
                 },
-                other => other,
+                FedMsg::Ack(_) => None,
             };
-            match (to, msg) {
-                (Dest::Region { region, slot }, FedMsg::Frame(f)) => {
+            match (to, frame, msg) {
+                (Dest::Region { region, slot }, Some(f), _) => {
                     if !self.regions[region].alive {
                         self.stats.dropped_to_dead += 1;
                         continue;
@@ -1468,7 +1461,7 @@ impl Federation {
                         acks_out.push((leaf as u32, Dest::LeafAck { leaf }, FedMsg::Ack(upto)));
                     }
                 }
-                (Dest::Root { slot }, FedMsg::Frame(f)) => {
+                (Dest::Root { slot }, Some(f), _) => {
                     if let Some(upto) = self.root.on_frame(slot, f, &cfg, &mut self.stats) {
                         acks_out.push((
                             (n_leaves + slot) as u32,
@@ -1477,7 +1470,7 @@ impl Federation {
                         ));
                     }
                 }
-                (Dest::LeafAck { leaf }, FedMsg::Ack(upto)) => {
+                (Dest::LeafAck { leaf }, None, FedMsg::Ack(upto)) => {
                     let l = &mut self.leaves[leaf];
                     if !l.alive {
                         self.stats.dropped_to_dead += 1;
@@ -1492,7 +1485,7 @@ impl Federation {
                         &cfg,
                     );
                 }
-                (Dest::RegionAck { region }, FedMsg::Ack(upto)) => {
+                (Dest::RegionAck { region }, None, FedMsg::Ack(upto)) => {
                     let r = &mut self.regions[region];
                     if !r.alive {
                         self.stats.dropped_to_dead += 1;
@@ -1556,10 +1549,7 @@ impl Federation {
     pub fn coverage_ppm(&self) -> u64 {
         let delivered: u64 = self.root.delivered.values().sum();
         let truth: u64 = self.truth.iter().sum();
-        delivered
-            .saturating_mul(1_000_000)
-            .checked_div(truth)
-            .unwrap_or(1_000_000)
+        ppm(delivered, truth)
     }
 
     /// The operator's topology view at this instant: per-level fan-in,

@@ -624,16 +624,14 @@ pub struct StageAccumulator {
     /// Interned contexts so far.
     pub contexts: Vec<DumpContext>,
     /// Per context id: its CCT node list, if one has accumulated.
-    /// Crate-visible so [`crate::wire::apply_batch`] can stream decoded
-    /// columns straight into the dense layout.
-    pub(crate) ccts: Vec<Option<Vec<DumpNode>>>,
+    ccts: Vec<Option<Vec<DumpNode>>>,
     /// Per context id: its minted synopsis, if any.
-    pub(crate) synopses: Vec<Option<u64>>,
-    pub(crate) pairs: BTreeMap<(u32, u32), (u64, u64)>,
-    pub(crate) waiters: BTreeMap<u32, (u64, u64)>,
-    pub(crate) piggyback_bytes: u64,
-    pub(crate) messages: u64,
-    pub(crate) next_seq: u64,
+    synopses: Vec<Option<u64>>,
+    pairs: BTreeMap<(u32, u32), (u64, u64)>,
+    waiters: BTreeMap<u32, (u64, u64)>,
+    piggyback_bytes: u64,
+    messages: u64,
+    next_seq: u64,
 }
 
 impl StageAccumulator {

@@ -263,9 +263,16 @@ pub(crate) enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest array/object nesting the parser accepts. Real dumps and
+/// repro bundles nest about six levels; the bound keeps hostile input
+/// (a file of nothing but `[`) from recursing the parser off the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -334,8 +341,19 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c.is_ascii_digit() => self.number(),
             Some(b'-') => self.err("negative numbers do not occur in stage dumps"),
             Some(c) => self.err(format!("unexpected byte '{}'", c as char)),
@@ -479,6 +497,7 @@ pub(crate) fn parse_value(s: &str) -> Result<Value, StitchError> {
     let mut p = Parser {
         b: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -772,9 +791,17 @@ mod tests {
             "[1,2,",
             "\"unterminated",
             "{\"proc\": 1} trailing",
+            &"[".repeat(100_000),
         ] {
             assert!(from_json(bad).is_err(), "accepted: {bad:?}");
         }
+        // Nesting up to the bound still parses; one level more does not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            parse_value(&nested(MAX_DEPTH + 1)),
+            Err(StitchError::Json { offset, .. }) if offset == MAX_DEPTH
+        ));
     }
 
     #[test]

@@ -327,13 +327,16 @@ pub fn check_capture(ev: &CaptureEvidence) -> Vec<Violation> {
     out
 }
 
-/// Precision/recall arithmetic in parts-per-million. An empty
-/// denominator is vacuously perfect: asserting nothing asserts nothing
-/// false, and a truth set with nothing to find is fully found.
+/// Precision/recall and coverage arithmetic in parts-per-million. The
+/// product is taken in u128, so a numerator past `u64::MAX / 1e6`
+/// (about 1.8e13 — a fleet's cycle mass gets there) cannot saturate
+/// it. An empty denominator is vacuously perfect: asserting nothing
+/// asserts nothing false, and a truth set with nothing to find is
+/// fully found.
 pub fn ppm(num: u64, den: u64) -> u64 {
-    num.saturating_mul(1_000_000)
-        .checked_div(den)
-        .unwrap_or(1_000_000)
+    (u128::from(num) * 1_000_000)
+        .checked_div(u128::from(den))
+        .map_or(1_000_000, |v| u64::try_from(v).unwrap_or(u64::MAX))
 }
 
 /// Harmonic mean of two ppm rates (the F1 of a ppm precision/recall).
@@ -462,10 +465,7 @@ pub fn check_federation(fed: &FederationEvidence) -> Vec<Violation> {
             truth: delivered_total,
         });
     }
-    let actual_ppm = delivered_total
-        .saturating_mul(1_000_000)
-        .checked_div(truth_total)
-        .unwrap_or(1_000_000);
+    let actual_ppm = ppm(delivered_total, truth_total);
     if fed.reported_coverage_ppm != actual_ppm {
         out.push(Violation::FederationCoverage {
             reported_ppm: fed.reported_coverage_ppm,
@@ -786,6 +786,27 @@ mod tests {
                 truth: 1000,
             }]
         );
+    }
+
+    #[test]
+    fn fleet_scale_coverage_does_not_saturate() {
+        // Masses past u64::MAX / 1e6 (about 1.8e13 cycles): a
+        // saturating u64 product reads 368,934 ppm for a lossless run.
+        let mut fed = fed_two_leaves();
+        fed.subtrees[0].delivered = 30_000_000_000_000;
+        fed.subtrees[0].truth = 30_000_000_000_000;
+        fed.subtrees[1].delivered = 20_000_000_000_000;
+        fed.subtrees[1].truth = 20_000_000_000_000;
+        fed.root_mass = 50_000_000_000_000;
+        assert_eq!(ppm(fed.root_mass, 50_000_000_000_000), 1_000_000);
+        assert_eq!(check_federation(&fed), vec![]);
+
+        fed.subtrees[1].degraded = true;
+        fed.subtrees[1].delivered = 10_000_000_000_000;
+        fed.root_mass = 40_000_000_000_000;
+        fed.reported_coverage_ppm = 800_000;
+        assert_eq!(check_federation(&fed), vec![]);
+        assert_eq!(ppm(u64::MAX, 1), u64::MAX);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The versioned columnar binary wire format of the streaming tier.
 //!
 //! Everything the streaming and federation tiers ship between processes
-//! — stream headers, per-epoch delta batches, federation summary
-//! frames, quantile-sketch digests, chaos repro bundles — has exactly
-//! one binary encoding, defined here (DESIGN.md §16). The format is
-//! built from three layers:
+//! — stream headers, per-epoch delta batches and federation summary
+//! frames — has exactly one binary encoding, defined here (DESIGN.md
+//! §16). The format is built from three layers:
 //!
 //! 1. **Primitives**: LEB128 varints (little-endian base-128), length-
 //!    prefixed UTF-8 strings, and zigzag **delta-of-delta** columns
@@ -25,27 +24,17 @@
 //!    misparse — and slots into the collector's §12 quarantine /
 //!    resync machinery like any other lost or corrupt delta.
 //!
-//! Decoding offers two paths. [`decode_batch`] materializes the
-//! [`EpochBatch`] structs (the differential-testing path: the struct
-//! codecs must round-trip bit-exactly, `decode(encode(b)) == b`).
-//! [`apply_batch`] is the ingest hot path: it streams the columns
-//! **directly into [`StageAccumulator`]'s dense Vec-by-ctx-id
-//! layouts**, never materializing per-event structs — and because the
-//! envelope digest already authenticated every body byte, it skips the
-//! per-delta lane-checksum recompute that dominates the struct apply
-//! path.
-//!
-//! The hand-rolled byte packing that previously accumulated in
-//! [`crate::sketch`] (`to_wire`/`from_wire` sparse buckets),
-//! [`crate::summary`] (frame freight), and [`crate::repro`] (bundle
-//! files) now rides on these primitives: [`encode_sketch`],
-//! [`encode_summary`], and [`encode_repro`].
+//! Each frame kind has exactly one decoder: [`decode_header`],
+//! [`decode_batch`] and [`decode_summary`]. Decoding materializes the
+//! structs (`decode(encode(x)) == x` bit-exactly); semantic validation
+//! — sequence numbers, lane checksums, CCT baselines — stays with the
+//! consumer ([`StageAccumulator::apply`](crate::delta::StageAccumulator::apply)
+//! for batches, [`SummaryFrame::verify`] for summaries), so every
+//! delta is checked by one validator whichever surface carried it.
 
-use crate::delta::{CctDelta, EpochBatch, StageAccumulator, StageDelta, StreamHeader, StreamStage};
+use crate::delta::{CctDelta, EpochBatch, StageDelta, StreamHeader, StreamStage};
 use crate::dumpjson::esc;
 use crate::hash::fnv1a;
-use crate::repro::{ChaosRepro, FaultEntry, ReproWindow};
-use crate::sketch::QuantileSketch;
 use crate::stitch::{DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode};
 use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
 use std::collections::HashMap;
@@ -65,12 +54,10 @@ pub const WIRE_VERSION: u8 = 1;
 pub const KIND_HEADER: u8 = 1;
 /// Frame kind: an [`EpochBatch`] of stage deltas.
 pub const KIND_BATCH: u8 = 2;
-/// Frame kind: a federation [`SummaryFrame`].
+/// Frame kind: a federation [`SummaryFrame`]. Kind bytes 4 and 5 are
+/// unassigned: frames carrying them fail [`open_frame`] as
+/// [`WireError::BadKind`] against every decoder.
 pub const KIND_SUMMARY: u8 = 3;
-/// Frame kind: a [`ChaosRepro`] bundle.
-pub const KIND_REPRO: u8 = 4;
-/// Frame kind: a [`QuantileSketch`] digest.
-pub const KIND_SKETCH: u8 = 5;
 
 /// Bytes of envelope before the body (magic + version + kind + length).
 pub const ENVELOPE_HEAD: usize = 9;
@@ -575,7 +562,7 @@ fn get_dict<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, WireError> {
     Ok(table)
 }
 
-pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, u64>) {
+fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, u64>) {
     let mut flags = 0u64;
     if !d.new_frames.is_empty() {
         flags |= F_FRAMES;
@@ -733,9 +720,9 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
     }
 }
 
-/// Parses one delta section back into a [`StageDelta`] (the struct /
-/// differential-testing path; [`apply_batch`] is the hot path).
-pub(crate) fn get_delta(r: &mut Reader<'_>, table: &[&str]) -> Result<StageDelta, WireError> {
+/// Parses one delta section back into a [`StageDelta`] (shared by the
+/// batch and summary decoders).
+fn get_delta(r: &mut Reader<'_>, table: &[&str]) -> Result<StageDelta, WireError> {
     let stage = as_usize(r.u64()?)?;
     let seq = r.u64()?;
     let flags = r.u64()?;
@@ -864,8 +851,9 @@ fn get_cct_section(r: &mut Reader<'_>) -> Result<Vec<CctDelta>, WireError> {
     let mut dr = DodReader::new();
     for _ in 0..nc {
         let ctx = as_u32(dr.next(r)?)?;
-        // One CCT per context, sorted by ctx — same rule [`apply_batch`]
-        // enforces, so both decode paths reject identical frames.
+        // One CCT per context, sorted by ctx: the documented
+        // `StageDelta::ccts` invariant, checked before any node column
+        // is read.
         if ctx_col.last().is_some_and(|&prev| prev >= ctx) {
             return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
         }
@@ -961,7 +949,7 @@ fn get_cct_section(r: &mut Reader<'_>) -> Result<Vec<CctDelta>, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Frame codecs: header, batch, summary, sketch, repro
+// Frame codecs: header, batch, summary
 // ---------------------------------------------------------------------
 
 /// Encodes a [`StreamHeader`] as a [`KIND_HEADER`] frame.
@@ -1012,9 +1000,11 @@ pub fn encode_batch(b: &EpochBatch) -> Vec<u8> {
     buf
 }
 
-/// Decodes a [`KIND_BATCH`] frame into the [`EpochBatch`] structs (the
-/// differential-testing path; ingest uses [`apply_batch`]), returning
-/// the batch and the total frame size consumed.
+/// Decodes a [`KIND_BATCH`] frame into the [`EpochBatch`] structs,
+/// returning the batch and the total frame size consumed. This is the
+/// ingest path: the collector's `enqueue_wire` queues the decoded
+/// batch, and each delta is then validated and folded by
+/// [`StageAccumulator::apply`](crate::delta::StageAccumulator::apply).
 pub fn decode_batch(buf: &[u8]) -> Result<(EpochBatch, usize), WireError> {
     let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
     let epoch = r.u64()?;
@@ -1041,9 +1031,9 @@ pub fn decode_batch(buf: &[u8]) -> Result<(EpochBatch, usize), WireError> {
 }
 
 /// Appends a sparse bucket list (ascending indices) as an index DoD
-/// column plus a count column — the shared tail of the sketch and
-/// summary codecs.
-pub(crate) fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
+/// column plus a count column — the tier-sketch freight of summary
+/// frames.
+fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
     put_u64(buf, buckets.len() as u64);
     let mut w = DodWriter::new();
     for &(b, _) in buckets {
@@ -1055,7 +1045,7 @@ pub(crate) fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
 }
 
 /// Reads a [`put_buckets`] bucket list back.
-pub(crate) fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
     let n = r.count()?;
     let mut idx = Vec::with_capacity(n);
     let mut dr = DodReader::new();
@@ -1209,540 +1199,6 @@ pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
         },
         consumed,
     ))
-}
-
-/// Encodes a [`QuantileSketch`] digest (its sparse wire form) as a
-/// [`KIND_SKETCH`] frame.
-pub fn encode_sketch(s: &QuantileSketch) -> Vec<u8> {
-    let (max, buckets) = s.to_wire();
-    let mut buf = Vec::with_capacity(64);
-    let body = begin_frame(&mut buf, KIND_SKETCH);
-    put_u64(&mut buf, max);
-    put_buckets(&mut buf, &buckets);
-    end_frame(&mut buf, body);
-    buf
-}
-
-/// Decodes a [`KIND_SKETCH`] frame back into a sketch that merges and
-/// queries bit-identically to the encoded one.
-pub fn decode_sketch(buf: &[u8]) -> Result<(QuantileSketch, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_SKETCH)?;
-    let max = r.u64()?;
-    let buckets = get_buckets(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in sketch body"));
-    }
-    Ok((QuantileSketch::from_wire(max, &buckets), consumed))
-}
-
-const FAULT_DROP: u8 = 1;
-const FAULT_DUP: u8 = 2;
-const FAULT_DELAY: u8 = 3;
-const FAULT_CRASH: u8 = 4;
-const FAULT_SLOWDOWN: u8 = 5;
-
-/// Encodes a [`ChaosRepro`] bundle as a [`KIND_REPRO`] frame — the
-/// binary sibling of [`crate::repro::repro_to_json`], for embedding
-/// repro bundles in wire streams (the JSON form stays the on-disk
-/// format).
-pub fn encode_repro(rep: &ChaosRepro) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
-    let body = begin_frame(&mut buf, KIND_REPRO);
-    put_u64(&mut buf, rep.seed);
-    put_str(&mut buf, &rep.policy);
-    put_u64(&mut buf, rep.workload.len() as u64);
-    for (k, v) in &rep.workload {
-        put_str(&mut buf, k);
-        put_u64(&mut buf, *v);
-    }
-    put_u64(&mut buf, rep.faults.len() as u64);
-    for f in &rep.faults {
-        match f {
-            FaultEntry::Drop { chan, ppm } => {
-                buf.push(FAULT_DROP);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-            }
-            FaultEntry::Dup { chan, ppm } => {
-                buf.push(FAULT_DUP);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-            }
-            FaultEntry::Delay { chan, ppm, cycles } => {
-                buf.push(FAULT_DELAY);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-                put_u64(&mut buf, *cycles);
-            }
-            FaultEntry::Crash { proc, at } => {
-                buf.push(FAULT_CRASH);
-                put_str(&mut buf, proc);
-                put_u64(&mut buf, *at);
-            }
-            FaultEntry::Slowdown {
-                machine,
-                from,
-                until,
-                factor,
-            } => {
-                buf.push(FAULT_SLOWDOWN);
-                put_str(&mut buf, machine);
-                put_u64(&mut buf, *from);
-                put_u64(&mut buf, *until);
-                put_u64(&mut buf, *factor);
-            }
-        }
-    }
-    match &rep.violation {
-        Some(v) => {
-            buf.push(1);
-            put_str(&mut buf, v);
-        }
-        None => buf.push(0),
-    }
-    match &rep.window {
-        Some(w) => {
-            buf.push(1);
-            put_u64(&mut buf, w.epoch_len);
-            put_u64(&mut buf, w.start);
-            put_u64(&mut buf, w.end);
-            put_str(&mut buf, &w.dimension);
-        }
-        None => buf.push(0),
-    }
-    end_frame(&mut buf, body);
-    buf
-}
-
-/// Decodes a [`KIND_REPRO`] frame, returning the bundle and the total
-/// bytes consumed.
-pub fn decode_repro(buf: &[u8]) -> Result<(ChaosRepro, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_REPRO)?;
-    let seed = r.u64()?;
-    let policy = r.str()?.to_owned();
-    let nw = r.count()?;
-    let mut workload = Vec::with_capacity(nw);
-    for _ in 0..nw {
-        let k = r.str()?.to_owned();
-        workload.push((k, r.u64()?));
-    }
-    let nf = r.count()?;
-    let mut faults = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        faults.push(match r.u8()? {
-            FAULT_DROP => FaultEntry::Drop {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-            },
-            FAULT_DUP => FaultEntry::Dup {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-            },
-            FAULT_DELAY => FaultEntry::Delay {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-                cycles: r.u64()?,
-            },
-            FAULT_CRASH => FaultEntry::Crash {
-                proc: r.str()?.to_owned(),
-                at: r.u64()?,
-            },
-            FAULT_SLOWDOWN => FaultEntry::Slowdown {
-                machine: r.str()?.to_owned(),
-                from: r.u64()?,
-                until: r.u64()?,
-                factor: r.u64()?,
-            },
-            _ => return Err(WireError::Malformed("unknown fault tag")),
-        });
-    }
-    let violation = match r.u8()? {
-        0 => None,
-        1 => Some(r.str()?.to_owned()),
-        _ => return Err(WireError::Malformed("bad option tag")),
-    };
-    let window = match r.u8()? {
-        0 => None,
-        1 => Some(ReproWindow {
-            epoch_len: r.u64()?,
-            start: r.u64()?,
-            end: r.u64()?,
-            dimension: r.str()?.to_owned(),
-        }),
-        _ => return Err(WireError::Malformed("bad option tag")),
-    };
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in repro body"));
-    }
-    Ok((
-        ChaosRepro {
-            seed,
-            policy,
-            workload,
-            faults,
-            violation,
-            window,
-        },
-        consumed,
-    ))
-}
-
-// ---------------------------------------------------------------------
-// The ingest fast path: columns straight into the accumulator
-// ---------------------------------------------------------------------
-
-/// What [`apply_batch`] learned about the frame it applied.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WireBatchInfo {
-    /// Epoch index the batch covers.
-    pub epoch: u64,
-    /// Global batch sequence number.
-    pub seq: u64,
-    /// Virtual time at the end of the epoch.
-    pub end: u64,
-    /// Total change events applied (matches [`EpochBatch::events`]).
-    pub events: u64,
-    /// Total frame bytes consumed from the buffer.
-    pub consumed: usize,
-}
-
-/// Reusable column scratch so a stream of batches allocates once, not
-/// once per delta.
-#[derive(Default)]
-struct ApplyScratch {
-    syn_ctx: Vec<u32>,
-    cct_ctx: Vec<u32>,
-    cct_new: Vec<usize>,
-    cct_grown: Vec<usize>,
-    cct_start: Vec<usize>,
-    grown_idx: Vec<u32>,
-    key_a: Vec<u32>,
-    key_b: Vec<u32>,
-    val_a: Vec<u64>,
-}
-
-/// Decodes a [`KIND_BATCH`] frame **directly into** the per-stage
-/// accumulators — the ingest hot path. No [`StageDelta`] or
-/// [`EpochBatch`] is materialized: each column is streamed straight
-/// into the accumulator's dense Vec-by-ctx-id layout.
-///
-/// Sequence numbers and structural baselines (CCT sizes, growth
-/// targets, synopsis re-mints) are still validated, but the per-delta
-/// lane-checksum recompute of [`StageAccumulator::apply`] is skipped:
-/// the envelope's byte digest — verified by [`open_frame`] before any
-/// parsing — already authenticated the transport. Unlike the struct
-/// path, a mid-frame error is **not** transactional: the accumulators
-/// may hold a prefix of the batch and must be discarded (the collector
-/// keeps its own quarantine mirror for that; the benches only feed
-/// this path verified-clean streams).
-pub fn apply_batch(
-    accs: &mut [StageAccumulator],
-    buf: &[u8],
-) -> Result<WireBatchInfo, WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
-    let epoch = r.u64()?;
-    let seq = r.u64()?;
-    let end = r.u64()?;
-    let table = get_dict(&mut r)?;
-    let nd = r.count()?;
-    let mut events = 0u64;
-    let mut scratch = ApplyScratch::default();
-    for _ in 0..nd {
-        events += apply_delta(accs, &mut r, &mut scratch, &table)?;
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in batch body"));
-    }
-    Ok(WireBatchInfo {
-        epoch,
-        seq,
-        end,
-        events,
-        consumed,
-    })
-}
-
-fn apply_delta(
-    accs: &mut [StageAccumulator],
-    r: &mut Reader<'_>,
-    sc: &mut ApplyScratch,
-    table: &[&str],
-) -> Result<u64, WireError> {
-    let stage = as_usize(r.u64()?)?;
-    if stage >= accs.len() {
-        return Err(WireError::Malformed("stage index out of range"));
-    }
-    let seq = r.u64()?;
-    let acc = &mut accs[stage];
-    if seq != acc.next_seq {
-        return Err(WireError::Malformed("sequence gap on fast apply"));
-    }
-    let flags = r.u64()?;
-    if flags & !F_ALL != 0 {
-        return Err(WireError::Malformed("unknown delta section flag"));
-    }
-    let mut events = 0u64;
-
-    // Intern-table tails.
-    if flags & F_FRAMES != 0 {
-        let nf = r.count()?;
-        acc.frames.reserve(nf);
-        for _ in 0..nf {
-            let i = as_usize(r.u64()?)?;
-            let s = *table
-                .get(i)
-                .ok_or(WireError::Malformed("frame string index out of range"))?;
-            acc.frames.push(s.to_owned());
-        }
-        events += nf as u64;
-    }
-    if flags & F_CONTEXTS != 0 {
-        let ncx = r.count()?;
-        acc.contexts.reserve(ncx);
-        for _ in 0..ncx {
-            let na = r.count()?;
-            let mut atoms = Vec::with_capacity(na);
-            for _ in 0..na {
-                atoms.push(get_atom(r)?);
-            }
-            acc.contexts.push(DumpContext { atoms });
-        }
-        events += ncx as u64;
-    }
-
-    // Synopses: ctx column, then raw column applied in place.
-    if flags & F_SYNOPSES != 0 {
-        let ns = r.count()?;
-        sc.syn_ctx.clear();
-        let mut dr = DodReader::new();
-        for _ in 0..ns {
-            sc.syn_ctx.push(as_u32(dr.next(r)?)?);
-        }
-        for i in 0..ns {
-            let raw = r.u64()?;
-            let ctx = sc.syn_ctx[i] as usize;
-            if acc.synopses.len() <= ctx {
-                acc.synopses.resize(ctx + 1, None);
-            }
-            if acc.synopses[ctx].is_some() {
-                return Err(WireError::Malformed("synopsis re-minted for a context"));
-            }
-            acc.synopses[ctx] = Some(raw);
-        }
-        events += ns as u64;
-    }
-
-    // CCT header columns, baseline validation, placeholder extension.
-    let nc = if flags & F_CCTS != 0 { r.count()? } else { 0 };
-    sc.cct_ctx.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..nc {
-        let ctx = as_u32(dr.next(r)?)?;
-        // diff_dump emits at most one CCT per context, sorted by ctx.
-        // A repeated id would let a later, smaller resize shrink a
-        // range an earlier entry's column fills still index — so the
-        // column must be strictly increasing before anything mutates.
-        if sc.cct_ctx.last().is_some_and(|&prev| prev >= ctx) {
-            return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
-        }
-        sc.cct_ctx.push(ctx);
-    }
-    sc.cct_start.clear();
-    for k in 0..nc {
-        let before = as_usize(r.u64()?)?;
-        let i = sc.cct_ctx[k] as usize;
-        if acc.ccts.len() <= i {
-            acc.ccts.resize_with(i + 1, || None);
-        }
-        let nodes = acc.ccts[i].get_or_insert_with(Vec::new);
-        if nodes.len() != before {
-            return Err(WireError::Malformed("CCT baseline size mismatch"));
-        }
-        sc.cct_start.push(before);
-    }
-    sc.cct_new.clear();
-    let mut total_new = 0u64;
-    for k in 0..nc {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
-        }
-        total_new += n;
-        let n = as_usize(n)?;
-        sc.cct_new.push(n);
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        nodes.resize(
-            sc.cct_start[k] + n,
-            DumpNode {
-                frame: None,
-                parent: None,
-                samples: 0,
-                cycles: 0,
-                calls: 0,
-            },
-        );
-    }
-    sc.cct_grown.clear();
-    let mut total_grown = 0u64;
-    for _ in 0..nc {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
-        }
-        total_grown += n;
-        sc.cct_grown.push(as_usize(n)?);
-    }
-    events += total_new + total_grown;
-
-    // Node field columns, filled in place across all CCTs.
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].frame = opt_u32(r.u64()?)?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].parent = opt_u32(r.u64()?)?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].samples = r.u64()?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].cycles = r.u64()?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].calls = r.u64()?;
-        }
-    }
-
-    // Grown columns: indices first (validated against the baseline),
-    // then the three increment columns folded in place.
-    sc.grown_idx.clear();
-    for _ in 0..total_grown {
-        sc.grown_idx.push(r.u32()?);
-    }
-    {
-        let mut g = 0usize;
-        for k in 0..nc {
-            for _ in 0..sc.cct_grown[k] {
-                if sc.grown_idx[g] as usize >= sc.cct_start[k] {
-                    return Err(WireError::Malformed("CCT growth targets a missing node"));
-                }
-                g += 1;
-            }
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].samples += r.u64()?;
-            g += 1;
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].cycles += r.u64()?;
-            g += 1;
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].calls += r.u64()?;
-            g += 1;
-        }
-    }
-
-    // Crosstalk pair columns.
-    let np = if flags & F_PAIRS != 0 { r.count()? } else { 0 };
-    sc.key_a.clear();
-    sc.key_b.clear();
-    sc.val_a.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..np {
-        sc.key_a.push(as_u32(dr.next(r)?)?);
-    }
-    for _ in 0..np {
-        sc.key_b.push(r.u32()?);
-    }
-    for _ in 0..np {
-        sc.val_a.push(r.u64()?);
-    }
-    for i in 0..np {
-        let e = acc
-            .pairs
-            .entry((sc.key_a[i], sc.key_b[i]))
-            .or_insert((0, 0));
-        e.0 += sc.val_a[i];
-        e.1 += r.u64()?;
-    }
-    events += np as u64;
-
-    // Crosstalk waiter columns.
-    let nw = if flags & F_WAITERS != 0 { r.count()? } else { 0 };
-    sc.key_a.clear();
-    sc.val_a.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..nw {
-        sc.key_a.push(as_u32(dr.next(r)?)?);
-    }
-    for _ in 0..nw {
-        sc.val_a.push(r.u64()?);
-    }
-    for i in 0..nw {
-        let e = acc.waiters.entry(sc.key_a[i]).or_insert((0, 0));
-        e.0 += sc.val_a[i];
-        e.1 += r.u64()?;
-    }
-    events += nw as u64;
-
-    if flags & F_PIGGYBACK != 0 {
-        acc.piggyback_bytes += r.u64()?;
-    }
-    if flags & F_MESSAGES != 0 {
-        acc.messages += r.u64()?;
-    }
-    // A divergent stored end-to-end checksum, when present: transport
-    // integrity was already settled by the envelope digest, so it is
-    // skipped, not recomputed.
-    if flags & F_CHECKSUM != 0 {
-        let _stored = r.fixed_u64()?;
-    }
-    acc.next_seq += 1;
-    Ok(events)
 }
 
 // ---------------------------------------------------------------------
@@ -1948,7 +1404,8 @@ pub fn summary_to_json(f: &SummaryFrame) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::diff_dump;
+    use crate::delta::{diff_dump, DeltaError, StageAccumulator};
+    use crate::sketch::QuantileSketch;
     use crate::stitch::{DumpCct, StageDump};
     use crate::summary::seal_delta;
 
@@ -2162,72 +1619,26 @@ mod tests {
     }
 
     #[test]
-    fn bad_stored_checksum_round_trips_for_the_struct_path() {
-        // A delta whose *end-to-end* checksum is wrong must survive the
-        // wire unchanged so the accumulator still quarantines it.
-        let (_, mut batches) = sample_batches();
-        batches[0].deltas[0].checksum ^= 1;
-        let frame = encode_batch(&batches[0]);
-        let (back, _) = decode_batch(&frame).unwrap();
-        assert_eq!(back, batches[0]);
-    }
-
-    #[test]
-    fn apply_batch_matches_struct_apply() {
-        let (header, batches) = sample_batches();
-        let mut fast: Vec<StageAccumulator> =
-            header.stages.iter().map(StageAccumulator::new).collect();
-        let mut slow: Vec<StageAccumulator> =
-            header.stages.iter().map(StageAccumulator::new).collect();
-        let mut events = 0;
-        for b in &batches {
-            let frame = encode_batch(b);
-            let info = apply_batch(&mut fast, &frame).unwrap();
-            assert_eq!(
-                (info.epoch, info.seq, info.end, info.consumed),
-                (b.epoch, b.seq, b.end, frame.len())
-            );
-            events += info.events;
-            for d in &b.deltas {
-                slow[d.stage].apply(d).unwrap();
-            }
+    fn struct_path_rejects_inconsistent_frames() {
+        // The ingest path — `decode_batch`, then `StageAccumulator::apply`
+        // per delta, as the collector runs it — must reject every
+        // damaged or inconsistent frame, and a rejected delta must leave
+        // its accumulator untouched. Forged deltas are resealed so each
+        // reaches the check it targets rather than the lane checksum.
+        #[derive(Debug, PartialEq)]
+        enum Rejected {
+            Decode(WireError),
+            NoStage,
+            Apply(DeltaError),
         }
-        assert_eq!(events, batches.iter().map(|b| b.events()).sum::<u64>());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert_eq!(f.to_dump(), s.to_dump());
-            assert_eq!(f.next_seq(), s.next_seq());
-        }
-    }
-
-    #[test]
-    fn apply_batch_rejects_inconsistent_frames() {
         let (header, batches) = sample_batches();
-        let mk = || -> Vec<StageAccumulator> {
-            header.stages.iter().map(StageAccumulator::new).collect()
+        let forged = |i: usize, edit: &dyn Fn(&mut StageDelta)| {
+            let mut b = batches[i].clone();
+            edit(&mut b.deltas[0]);
+            b.deltas[0].checksum = b.deltas[0].compute_checksum();
+            b
         };
-        // Sequence gap: the second batch cannot apply first.
-        let mut accs = mk();
-        assert!(apply_batch(&mut accs, &encode_batch(&batches[1])).is_err());
-        // Stage out of range.
-        let mut b = batches[0].clone();
-        b.deltas[0].stage = 7;
-        assert!(apply_batch(&mut mk(), &encode_batch(&b)).is_err());
-        // Baseline mismatch.
-        let mut b = batches[1].clone();
-        b.deltas[0].ccts[0].nodes_before += 1;
-        let mut accs = mk();
-        apply_batch(&mut accs, &encode_batch(&batches[0])).unwrap();
-        assert!(apply_batch(&mut accs, &encode_batch(&b)).is_err());
-    }
-
-    #[test]
-    fn duplicate_cct_ctx_is_rejected_before_any_mutation() {
-        // A checksum-valid frame whose CCT section lists the same ctx
-        // twice with a smaller new-node count the second time: the
-        // second resize would shrink the Vec below the range the first
-        // entry's column fills index. Both decode paths must reject
-        // the frame as malformed — never panic.
-        let mut d = StageDelta {
+        let mut dup_ctx = StageDelta {
             stage: 0,
             seq: 0,
             new_frames: vec![],
@@ -2253,20 +1664,100 @@ mod tests {
             messages: 0,
             checksum: 0,
         };
-        d.checksum = d.compute_checksum();
-        let frame = encode_batch(&EpochBatch {
-            epoch: 0,
-            seq: 0,
-            end: 100,
-            deltas: vec![d],
-        });
-        let expected = WireError::Malformed("CCT ctx column not strictly increasing");
-        let mut accs = vec![StageAccumulator::new(&StreamStage {
-            proc: 1,
-            stage_name: "app".into(),
-        })];
-        assert_eq!(apply_batch(&mut accs, &frame).unwrap_err(), expected);
-        assert_eq!(decode_batch(&frame).unwrap_err(), expected);
+        dup_ctx.checksum = dup_ctx.compute_checksum();
+        let incon = |what| Rejected::Apply(DeltaError::Inconsistent { stage: 0, what });
+        // (label, batches applied first, the frame's batch, outcome)
+        let cases: Vec<(&str, usize, EpochBatch, Rejected)> = vec![
+            (
+                // A wrong end-to-end checksum survives the wire verbatim
+                // so the accumulator, not the decoder, quarantines it.
+                "stored checksum",
+                0,
+                {
+                    let mut b = batches[0].clone();
+                    b.deltas[0].checksum ^= 1;
+                    b
+                },
+                Rejected::Apply(DeltaError::Checksum { stage: 0, seq: 0 }),
+            ),
+            (
+                "seq gap",
+                0,
+                batches[1].clone(),
+                Rejected::Apply(DeltaError::SeqGap {
+                    stage: 0,
+                    expected: 0,
+                    got: 1,
+                }),
+            ),
+            (
+                "stage out of range",
+                0,
+                forged(0, &|d| d.stage = 7),
+                Rejected::NoStage,
+            ),
+            (
+                "CCT baseline mismatch",
+                1,
+                forged(1, &|d| d.ccts[0].nodes_before += 1),
+                incon("CCT baseline size mismatch"),
+            ),
+            (
+                "growth into a missing node",
+                1,
+                forged(1, &|d| {
+                    let c = d.ccts.iter_mut().find(|c| !c.grown.is_empty()).unwrap();
+                    c.grown[0].0 = c.nodes_before;
+                }),
+                incon("CCT growth targets a missing node"),
+            ),
+            (
+                "synopsis re-mint",
+                1,
+                forged(1, &|d| d.new_synopses.push((0xDEAD, 1))),
+                incon("synopsis re-minted for a context"),
+            ),
+            (
+                // A repeated ctx would let a later, smaller entry shrink
+                // a range an earlier one filled: rejected at decode.
+                "duplicate CCT ctx",
+                0,
+                EpochBatch {
+                    epoch: 0,
+                    seq: 0,
+                    end: 100,
+                    deltas: vec![dup_ctx],
+                },
+                Rejected::Decode(WireError::Malformed(
+                    "CCT ctx column not strictly increasing",
+                )),
+            ),
+        ];
+        for (label, applied, batch, want) in cases {
+            let mut accs: Vec<StageAccumulator> =
+                header.stages.iter().map(StageAccumulator::new).collect();
+            for b in &batches[..applied] {
+                let (b, _) = decode_batch(&encode_batch(b)).unwrap();
+                for d in &b.deltas {
+                    accs[d.stage].apply(d).unwrap();
+                }
+            }
+            let before: Vec<_> = accs.iter().map(|a| (a.to_dump(), a.next_seq())).collect();
+            let got = match decode_batch(&encode_batch(&batch)) {
+                Err(e) => Rejected::Decode(e),
+                Ok((back, _)) => {
+                    assert_eq!(back, batch, "{label}: decode changed the batch");
+                    let d = &back.deltas[0];
+                    match accs.get_mut(d.stage) {
+                        None => Rejected::NoStage,
+                        Some(acc) => Rejected::Apply(acc.apply(d).expect_err(label)),
+                    }
+                }
+            };
+            assert_eq!(got, want, "{label}");
+            let after: Vec<_> = accs.iter().map(|a| (a.to_dump(), a.next_seq())).collect();
+            assert_eq!(after, before, "{label}: a rejected delta mutated state");
+        }
     }
 
     #[test]
@@ -2310,67 +1801,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_frame_round_trips_bit_identically() {
-        let mut s = QuantileSketch::new();
-        for v in [0u64, 3, 3, 99, 1 << 20, u64::MAX] {
-            s.record(v);
-        }
-        let (back, _) = decode_sketch(&encode_sketch(&s)).unwrap();
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.max(), s.max());
-        for q in [0u64, 500_000, 990_000, 1_000_000] {
-            assert_eq!(back.quantile_ppm(q), s.quantile_ppm(q));
-        }
-    }
-
-    #[test]
-    fn repro_frame_round_trips() {
-        let rep = ChaosRepro {
-            seed: 0xF00D,
-            policy: "perturb:7:250000".into(),
-            workload: vec![("clients".into(), 40)],
-            faults: vec![
-                FaultEntry::Drop {
-                    chan: "db".into(),
-                    ppm: 50_000,
-                },
-                FaultEntry::Delay {
-                    chan: "db".into(),
-                    ppm: 100_000,
-                    cycles: 24_000_000,
-                },
-                FaultEntry::Crash {
-                    proc: "mysql".into(),
-                    at: 240_000_000_000,
-                },
-                FaultEntry::Dup {
-                    chan: "front".into(),
-                    ppm: 1,
-                },
-                FaultEntry::Slowdown {
-                    machine: "mysql".into(),
-                    from: 1,
-                    until: 2,
-                    factor: 3,
-                },
-            ],
-            violation: Some("mass-conservation".into()),
-            window: Some(ReproWindow {
-                epoch_len: 2_400_000_000,
-                start: 17,
-                end: 23,
-                dimension: "slo-latency".into(),
-            }),
-        };
-        let (back, _) = decode_repro(&encode_repro(&rep)).unwrap();
-        assert_eq!(back, rep);
-        // None variants too.
-        let plain = ChaosRepro::default();
-        let (back, _) = decode_repro(&encode_repro(&plain)).unwrap();
-        assert_eq!(back, plain);
-    }
-
-    #[test]
     fn wire_beats_json_by_the_gate_margin() {
         let (_, batches) = sample_batches();
         for b in &batches {
@@ -2394,20 +1824,21 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for len in 0..64 {
-            for _ in 0..32 {
-                let mut buf = Vec::new();
-                let body = begin_frame(&mut buf, KIND_BATCH);
-                for _ in 0..len {
-                    buf.push(rng() as u8);
+        for kind in [KIND_HEADER, KIND_BATCH, KIND_SUMMARY] {
+            for len in 0..64 {
+                for _ in 0..32 {
+                    let mut buf = Vec::new();
+                    let body = begin_frame(&mut buf, kind);
+                    for _ in 0..len {
+                        buf.push(rng() as u8);
+                    }
+                    end_frame(&mut buf, body);
+                    match kind {
+                        KIND_HEADER => drop(decode_header(&buf)),
+                        KIND_BATCH => drop(decode_batch(&buf)),
+                        _ => drop(decode_summary(&buf)),
+                    }
                 }
-                end_frame(&mut buf, body);
-                let _ = decode_batch(&buf);
-                let mut accs = vec![StageAccumulator::new(&StreamStage {
-                    proc: 1,
-                    stage_name: "app".into(),
-                })];
-                let _ = apply_batch(&mut accs, &buf);
             }
         }
     }

@@ -8,6 +8,10 @@
 //!   struct ingest path can quarantine them).
 //! - **Stream framing**: concatenated frames decode one by one off a
 //!   single buffer via the `consumed` count, with no drift.
+//! - **Damage**: every truncation and seeded bit flips of real encoded
+//!   summary frames and headers come back as a typed `WireError` —
+//!   and flips resealed under a fresh digest, which reach the body
+//!   decoder, as an error or a value — never a panic.
 //! - **Golden frame**: one small, fully-populated frame is locked as a
 //!   hex dump under `tests/golden/wire_frame.hex`. Any byte change to
 //!   the format is a visible diff; regenerate deliberately with
@@ -20,16 +24,16 @@
 //! `diff_dump`'s output.
 
 use proptest::prelude::*;
-use whodunit_core::delta::{EpochBatch, StageDelta, StreamHeader, StreamStage};
-use whodunit_core::repro::{ChaosRepro, FaultEntry, ReproWindow};
+use whodunit_core::delta::{CctDelta, EpochBatch, StageDelta, StreamHeader, StreamStage};
+use whodunit_core::fnv1a;
 use whodunit_core::stitch::{
     DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
 };
 use whodunit_core::summary::{LeafGauges, SummaryFrame, TierSketch};
 use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
+    WireError, ENVELOPE_HEAD, ENVELOPE_TAIL,
 };
-use whodunit_core::{delta::CctDelta, repro_from_wire, repro_to_wire};
 
 /// Deterministic xorshift64* stream for structure building.
 struct Rng(u64);
@@ -208,6 +212,54 @@ fn arb_summary(r: &mut Rng) -> SummaryFrame {
     }
 }
 
+fn arb_header(r: &mut Rng) -> StreamHeader {
+    StreamHeader {
+        stages: (0..r.below(6))
+            .map(|_| StreamStage {
+                proc: r.extreme() as u32,
+                stage_name: r.name("stage"),
+            })
+            .collect(),
+    }
+}
+
+/// Recomputes the body digest of a single frame in place, so damaged
+/// body bytes pass the envelope and reach the body decoder.
+fn reseal(frame: &mut [u8]) {
+    let body_end = frame.len() - ENVELOPE_TAIL;
+    let digest = fnv1a(&frame[ENVELOPE_HEAD..body_end]);
+    frame[body_end..].copy_from_slice(&digest.to_le_bytes());
+}
+
+/// Truncates `frame` at every length and flips seeded bits in it:
+/// every truncation and raw flip must be a typed error, and resealed
+/// body flips an error or a value. A panic fails the property.
+fn damage<T>(r: &mut Rng, frame: &[u8], decode: impl Fn(&[u8]) -> Result<T, WireError>) {
+    for cut in 0..frame.len() {
+        prop_assert!(
+            decode(&frame[..cut]).is_err(),
+            "truncated at {} decoded",
+            cut
+        );
+    }
+    let body_len = frame.len() - ENVELOPE_HEAD - ENVELOPE_TAIL;
+    for _ in 0..32 {
+        let mut bad = frame.to_vec();
+        let bit = r.below(8 * frame.len() as u64) as usize;
+        bad[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(decode(&bad).is_err(), "bit {} flip decoded", bit);
+        if body_len > 0 {
+            let mut bad = frame.to_vec();
+            for _ in 0..1 + r.below(3) {
+                let bit = r.below(8 * body_len as u64) as usize;
+                bad[ENVELOPE_HEAD + bit / 8] ^= 1 << (bit % 8);
+            }
+            reseal(&mut bad);
+            let _ = decode(&bad);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -269,57 +321,27 @@ proptest! {
         prop_assert_eq!(at, stream.len(), "stream left trailing bytes");
     }
 
-    /// Stream headers and chaos repro files round-trip through their
-    /// wire frames for arbitrary contents.
+    /// Stream headers round-trip through their wire frames for
+    /// arbitrary contents.
     #[test]
-    fn headers_and_repros_round_trip(seed in any::<u64>()) {
+    fn headers_round_trip(seed in any::<u64>()) {
         let mut r = Rng::new(seed);
-        let header = StreamHeader {
-            stages: (0..r.below(6))
-                .map(|_| StreamStage { proc: r.extreme() as u32, stage_name: r.name("stage") })
-                .collect(),
-        };
+        let header = arb_header(&mut r);
         let bytes = encode_header(&header);
         let (back, consumed) = decode_header(&bytes).expect("header decodes");
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(back, header);
+    }
 
-        let repro = ChaosRepro {
-            seed: r.extreme(),
-            policy: r.name("policy"),
-            workload: (0..r.below(4)).map(|_| (r.name("op"), r.extreme())).collect(),
-            faults: (0..r.below(6))
-                .map(|_| match r.below(5) {
-                    0 => FaultEntry::Drop { chan: r.name("chan"), ppm: r.below(1_000_001) },
-                    1 => FaultEntry::Dup { chan: r.name("chan"), ppm: r.below(1_000_001) },
-                    2 => FaultEntry::Delay {
-                        chan: r.name("chan"),
-                        ppm: r.below(1_000_001),
-                        cycles: r.extreme(),
-                    },
-                    3 => FaultEntry::Crash { proc: r.name("proc"), at: r.extreme() },
-                    _ => FaultEntry::Slowdown {
-                        machine: r.name("machine"),
-                        from: r.extreme(),
-                        until: r.extreme(),
-                        factor: r.below(64) + 1,
-                    },
-                })
-                .collect(),
-            violation: if r.below(2) == 0 { None } else { Some(r.name("violation")) },
-            window: if r.below(2) == 0 {
-                None
-            } else {
-                Some(ReproWindow {
-                    epoch_len: r.extreme(),
-                    start: r.extreme(),
-                    end: r.extreme(),
-                    dimension: r.name("dim"),
-                })
-            },
-        };
-        let back = repro_from_wire(&repro_to_wire(&repro)).expect("repro decodes");
-        prop_assert_eq!(back, repro);
+    /// Real encoded summary frames and headers, truncated and
+    /// bit-flipped, decode to a typed error or a value — never a panic.
+    #[test]
+    fn damaged_summaries_and_headers_never_panic(seed in any::<u64>()) {
+        let mut r = Rng::new(seed);
+        let summary = encode_summary(&arb_summary(&mut r));
+        damage(&mut r, &summary, decode_summary);
+        let header = encode_header(&arb_header(&mut r));
+        damage(&mut r, &header, decode_header);
     }
 }
 
